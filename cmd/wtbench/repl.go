@@ -79,8 +79,8 @@ func measureRepl(n, readIters, steadyBatch, steadyOps int) replBenchRecord {
 	seq := workload.URLLog(n, 1, workload.DefaultURLConfig())
 
 	// Catch-up: wall time from Follow to the follower's watermark
-	// covering the primary's n preloaded records (snapshot bootstrap
-	// plus stream tail).
+	// covering the primary's n preloaded records, shipped as record
+	// frames read out of a pinned primary snapshot.
 	start := time.Now()
 	prim, fol := startReplPair(seq)
 	defer prim.stop()
@@ -236,8 +236,9 @@ func replBenchRecords(quick bool) []replBenchRecord {
 
 // runREPL prints the replication experiment.
 func runREPL(quick bool) {
-	fmt.Println("Expectation: an empty follower bootstraps from the primary's snapshot at")
-	fmt.Println("bulk-transfer rates (catch-up recs/ms far above steady append rates);")
+	fmt.Println("Expectation: an empty follower catches up through record frames streamed")
+	fmt.Println("out of a primary snapshot, so catch-up recs/ms tracks the follower's batched")
+	fmt.Println("apply rate (far above steady append rates);")
 	fmt.Println("steady-state lag stays within a few client batches; follower point reads")
 	fmt.Println("cost the same as primary reads (same snapshot path) and agree with them.")
 	t := newTable("n", "catchup ms", "catchup recs/ms", "steady lag mean", "steady lag max",

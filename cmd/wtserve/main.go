@@ -64,7 +64,6 @@ func main() {
 	follow := flag.String("follow", "", "run as a read-only replication follower of this primary address")
 	followerID := flag.String("follower-id", "", "follower identity in the primary's watermark book (default host-pid)")
 	replHeartbeat := flag.Duration("repl-heartbeat", 2*time.Second, "replication heartbeat cadence")
-	replRetain := flag.Int64("repl-retain", 64<<20, "WAL bytes retained for replication catch-up (negative disables retention)")
 	flag.Parse()
 
 	if *dir == "" {
@@ -85,7 +84,6 @@ func main() {
 		CursorTTL:          *cursorTTL,
 		SlowOp:             *slowOp,
 		ReplHeartbeat:      *replHeartbeat,
-		ReplRetainBytes:    *replRetain,
 	})
 	expvar.Publish("wtserve", expvar.Func(func() any { return srv.Metrics().Snapshot() }))
 

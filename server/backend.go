@@ -27,9 +27,8 @@ type Snap interface {
 	// a schema is pinned, every payload cell — so two different stores (a
 	// primary and its follower) can be compared.
 	ContentFingerprint() uint64
-	// MarshalBinary exports the pinned sequence as a loadable Frozen —
-	// the replication bootstrap payload. It carries values only, so the
-	// bootstrap path is gated off when a column schema is pinned.
+	// MarshalBinary exports the pinned sequence as a loadable Frozen
+	// image. It carries values only, never payload rows.
 	MarshalBinary() ([]byte, error)
 	// Schema is the pinned column schema; nil when the store carries no
 	// columnar attachments.
@@ -64,15 +63,6 @@ type Backend interface {
 	// split; the zero value for unsharded backends.
 	Router() store.RouterInfo
 	Snap() Snap
-	// SetWALRetention installs (or, with nil, removes) the WAL
-	// retention policy replication's catch-up floor rides on.
-	SetWALRetention(r *store.WALRetention)
-	// PruneRetainedWALs re-applies the retention policy; the hub calls
-	// it as follower acks advance the floor.
-	PruneRetainedWALs()
-	// RetainedWALs describes the segments currently held back — the
-	// /v1/repl surface.
-	RetainedWALs() []store.RetainedWALInfo
 }
 
 // ForStore adapts a plain store into a server Backend.

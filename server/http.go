@@ -35,6 +35,7 @@ import (
 //	GET  /v1/countwhere?p=V&pred=E      count prefix ∩ predicate matches
 //	POST /v1/append                     {"values": ["..."], "rows": [[...]]}
 //	POST /v1/flush | /v1/compact
+//	GET  /v1/repl                       role, primary, watermark, lag, follower watermarks
 //
 // Payload rows render as JSON arrays, one cell per schema column:
 // null, a non-negative integer (uint64 column) or a string (bytes
@@ -298,20 +299,12 @@ func (s *Server) HTTPHandler() http.Handler {
 		if s.Following() != "" {
 			role = "follower"
 		}
-		var retainedSegs int
-		var retainedBytes int64
-		for _, seg := range s.b.RetainedWALs() {
-			retainedSegs++
-			retainedBytes += seg.Bytes
-		}
 		writeJSON(w, map[string]any{
-			"role":               role,
-			"following":          s.Following(),
-			"watermark":          s.repl.watermark(),
-			"lag_records":        s.replLagRecords(),
-			"followers":          s.repl.followerAcked(),
-			"retained_wal_segs":  retainedSegs,
-			"retained_wal_bytes": retainedBytes,
+			"role":        role,
+			"following":   s.Following(),
+			"watermark":   s.repl.watermark(),
+			"lag_records": s.replLagRecords(),
+			"followers":   s.repl.followerAcked(),
 		})
 	})
 	mux.HandleFunc("/v1/flush", s.admin((*Server).flushOp))

@@ -46,7 +46,6 @@ type serverMetrics struct {
 	// side, and the churn between them.
 	replShippedRecords *obs.Counter
 	replShippedBytes   *obs.Counter
-	replSnapBytes      *obs.Counter
 	replAcks           *obs.Counter
 	replEvictedSubs    *obs.Counter
 	replReconnects     *obs.Counter
@@ -97,8 +96,6 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 			"Records shipped to replication subscribers (live and catch-up frames)."),
 		replShippedBytes: r.NewCounter("wt_repl_shipped_bytes_total",
 			"Framed bytes of record frames shipped to replication subscribers."),
-		replSnapBytes: r.NewCounter("wt_repl_snapshot_bytes_total",
-			"Snapshot bootstrap bytes shipped to replication subscribers."),
 		replAcks: r.NewCounter("wt_repl_acks_total",
 			"Watermark acknowledgements received from followers."),
 		replEvictedSubs: r.NewCounter("wt_repl_evicted_subscribers_total",
@@ -106,7 +103,7 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		replReconnects: r.NewCounter("wt_repl_reconnects_total",
 			"Follower reconnect attempts after a broken replication stream."),
 		replAppliedRecords: r.NewCounter("wt_repl_applied_records_total",
-			"Records applied from a replication stream (bootstrap and live)."),
+			"Records applied from a replication stream (catch-up and live)."),
 	}
 
 	ops := r.NewHistogramVec("wt_server_op_seconds",

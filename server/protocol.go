@@ -99,7 +99,7 @@ const (
 //	OpCursorClose                Cursor
 //	OpFlush, OpCompact           —
 //	OpStats, OpMetrics           —
-//	OpSubscribe                  Value (follower id), Cursor (from seq), Max (1 = bootstrap ok)
+//	OpSubscribe                  Value (follower id), Cursor (from seq), Max (flag 0 or 1, ignored)
 //	OpReplWait                   Cursor (seq to cover), Max (timeout ms)
 //	OpPromote                    —
 //	OpScanWhere                  Value (prefix), Pos (match offset), Max, Preds
@@ -346,7 +346,7 @@ func ParseRequest(payload []byte) (Request, error) {
 		req.Cursor = r.Uvarint()
 		req.Max = readPos()
 		if req.Max > 1 {
-			r.Fail("subscribe bootstrap flag %d not 0 or 1", req.Max)
+			r.Fail("subscribe flag %d not 0 or 1", req.Max)
 		}
 	case OpReplWait:
 		req.Cursor = r.Uvarint()

@@ -160,9 +160,10 @@ func TestReplicationLiveStream(t *testing.T) {
 	}
 }
 
-// TestReplicationBootstrapSnapshot starts the follower after the
-// primary already holds data (partly frozen), forcing the snapshot
-// bootstrap path rather than catch-up from sequence zero.
+// TestReplicationBootstrapSnapshot starts an empty follower after the
+// primary already holds data (partly frozen), so the follower is
+// bootstrapped by record-frame catch-up out of a primary snapshot from
+// sequence zero.
 func TestReplicationBootstrapSnapshot(t *testing.T) {
 	prim := startReplNode(t, 0, nil, nil)
 	pc := dial(t, prim.addr)

@@ -50,12 +50,6 @@ type Options struct {
 	// ReplHeartbeat is the idle cadence of replication heartbeat frames
 	// (primary liveness and follower lag measurement). Default 2s.
 	ReplHeartbeat time.Duration
-	// ReplRetainBytes caps the WAL bytes retained for replication
-	// catch-up (per shard on a sharded backend), so a dead follower
-	// can never pin unbounded disk. Default 64 MiB; negative disables
-	// retention entirely — superseded logs are deleted at flush and
-	// catch-up is served from snapshots alone.
-	ReplRetainBytes int64
 }
 
 func (o *Options) withDefaults() Options {
@@ -80,9 +74,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.ReplHeartbeat <= 0 {
 		out.ReplHeartbeat = 2 * time.Second
-	}
-	if out.ReplRetainBytes == 0 {
-		out.ReplRetainBytes = 64 << 20
 	}
 	return out
 }
@@ -177,9 +168,6 @@ func New(b Backend, opts *Options) *Server {
 	// The hub's head adopts the store's current length: global sequence
 	// numbers ARE positions in the append-only sequence.
 	s.repl = newReplHub(uint64(b.Snap().Len()))
-	if s.opts.ReplRetainBytes >= 0 {
-		b.SetWALRetention(&store.WALRetention{MaxBytes: s.opts.ReplRetainBytes, Floor: s.repl.floor})
-	}
 	s.appendCh = make(chan appendReq, s.opts.MaxBatch)
 	s.wgCommit.Add(2)
 	go s.committer()
@@ -749,11 +737,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.sendMu.Unlock()
 	close(s.appendCh)
 	s.wgCommit.Wait()
-	// Drop the retention policy: with the hub gone nothing will advance
-	// the floor, and retained logs would not survive a reopen anyway.
-	if s.opts.ReplRetainBytes >= 0 {
-		s.b.SetWALRetention(nil)
-	}
 	return err
 }
 

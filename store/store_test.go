@@ -296,6 +296,50 @@ func TestCrashInterruptedFlush(t *testing.T) {
 	checkSeq(t, s3, want)
 }
 
+// TestFlushDeletesSupersededWALs pins the flush's log hygiene: once
+// the manifest covers the sealed records, the superseded logs are
+// unlinked and each store directory holds exactly one log — the live
+// one — on a plain store and on every shard of a sharded store.
+func TestFlushDeletesSupersededWALs(t *testing.T) {
+	onlyLiveWAL := func(t *testing.T, s *Store) {
+		t.Helper()
+		logs, err := filepath.Glob(filepath.Join(s.dir, "wal-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(logs) != 1 || filepath.Base(logs[0]) != walFileName(s.walID) {
+			t.Fatalf("%s holds logs %v, want only the live %s", s.dir, logs, walFileName(s.walID))
+		}
+	}
+
+	st := mustOpen(t, t.TempDir(), &Options{DisableAutoFlush: true})
+	defer st.Close()
+	for _, batch := range [][]string{{"a", "b"}, {"c"}} {
+		if err := st.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		onlyLiveWAL(t, st)
+	}
+
+	ss, err := OpenSharded(t.TempDir(), &ShardedOptions{Shards: 2, Store: Options{DisableAutoFlush: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if err := ss.AppendBatch([]string{"a", "b", "c", "d"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range ss.shards {
+		onlyLiveWAL(t, sh)
+	}
+}
+
 // TestOpenErrors: unrecoverable corruption must error, never panic and
 // never silently lose committed generations.
 func TestOpenErrors(t *testing.T) {
